@@ -63,12 +63,11 @@ _DHP_CAPS = _Caps(
 _DEPTH_FIRST_CAPS = _Caps(
     checkpointable=True, supervisable=True,
     budget_resource="candidates", degradation_policies=_BASIC,
-    vectorizable=True,
 )
 _PARTITION_CAPS = _Caps(
     checkpointable=True, supervisable=True,
     budget_resource="candidates", degradation_policies=_BASIC,
-    parallelizable=True, vectorizable=True,
+    parallelizable=True,
 )
 for _spec in (
     _Spec("apriori", "associations", apriori, _LEVELWISE_CAPS,

@@ -108,9 +108,10 @@ def apriori(
         for short transactions, used mostly for cross-validation in tests),
         or ``"bitmap"`` for the vectorized
         :class:`~repro.associations.bitmap.BitmapDatabase` backend — the
-        database is encoded once as a boolean item×transaction matrix and
-        supports are column AND-reductions (fastest for dense/basket
-        shapes; costs ``n_items × n_transactions`` bytes).
+        database is encoded once as one int bitset per item and a
+        support is the popcount of the AND of its items' rows (fastest
+        for dense/basket shapes; costs ``n_items × n_transactions / 8``
+        bytes).
     budget:
         Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
         optional :class:`~repro.runtime.Budget` checked once per pass,

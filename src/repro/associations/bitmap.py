@@ -1,14 +1,14 @@
-"""Vectorized support counting over the packed columnar bit matrix.
+"""Vectorized support counting over the columnar bit matrix.
 
 Historically this module owned a private dense ``bool`` item×transaction
 matrix.  The encoding now lives in the shared columnar data plane
-(:mod:`repro.core.columnar`) as a **packed** bit matrix
-(``np.packbits`` rows + popcount counting, 8× less memory), built once
-per database object and memoized there; :class:`BitmapDatabase` is a
-thin compatibility wrapper that resolves the shared encoding and
-forwards to its kernels.
+(:mod:`repro.core.columnar`) as one int bitset per item (AND +
+``bit_count()`` counting, 8× less memory), built once per database
+object and memoized there; :class:`BitmapDatabase` is a thin
+compatibility wrapper that resolves the shared encoding and forwards
+to its kernels.
 
-Trade-off is unchanged in shape, 8× better in constant: the packed
+Trade-off is unchanged in shape, 8× better in constant: the bit
 matrix costs ``n_items × n_transactions / 8`` bytes, so it suits the
 classic basket shape — modest vocabularies, many transactions — and
 loses to the hash tree when the item universe is huge and sparse.
@@ -48,7 +48,7 @@ class BitmapDatabase:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed encoding."""
+        """Bytes held by the shared encoding."""
         return self.packed.nbytes
 
     def count(

@@ -73,9 +73,9 @@ def dhp(
         ``candidate_store`` seam under the registry's uniform backend
         name, accepting the same values.  ``"bitmap"`` counts the
         hash-filtered pairs by AND+popcount over the database's
-        memoized packed bit matrix (:mod:`repro.core.columnar`) —
-        byte-identical supports, one vectorized reduction per
-        surviving pair.
+        memoized int-bitset rows (:mod:`repro.core.columnar`) —
+        byte-identical supports, one ``&`` and one ``bit_count()``
+        per surviving pair.
 
     Notes
     -----

@@ -13,10 +13,10 @@ boundary (the vertical layout is rebuilt deterministically on resume).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.base import check_nonempty
-from ..core.columnar import intersect, popcount, transaction_bitmap
+from ..core.columnar import transaction_bitmap
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
@@ -29,19 +29,6 @@ from ..runtime.context import (
 )
 from .apriori import checkpoint_key, min_count_from_support
 
-#: tidset backends accepted by :func:`eclat`
-TIDSET_BACKENDS = ("tidset", "bitset")
-
-#: (join, size) kernel pair per backend.  ``tidset`` intersects Python
-#: frozensets; ``bitset`` ANDs packed uint8 bitsets from the columnar
-#: plane and popcounts — same joins in the same order, so supports (and
-#: budget charges) are byte-identical.
-_TIDSET_OPS: Dict[str, Tuple[Callable, Callable]] = {
-    "tidset": (lambda a, b: a & b, len),
-    "bitset": (intersect, popcount),
-}
-
-
 def eclat(
     db: TransactionDatabase,
     min_support: float = 0.01,
@@ -50,7 +37,6 @@ def eclat(
     on_exhausted: str = "raise",
     checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
-    backend: str = "tidset",
 ) -> FrequentItemsets:
     """Mine all frequent itemsets with Eclat (vertical DFS).
 
@@ -59,13 +45,9 @@ def eclat(
     identical, only the traversal differs.  ``pass_stats`` is left empty
     because Eclat is not levelwise.
 
-    ``backend`` selects the tidset representation: ``"tidset"`` (the
-    default) intersects per-itemset frozensets of transaction ids;
-    ``"bitset"`` runs the same depth-first walk over packed bitsets
-    from the shared columnar plane (:mod:`repro.core.columnar`), where a
-    join is a bitwise AND and a support is a popcount — byte-identical
-    output, one vectorized op per join instead of a hashed set
-    intersection.
+    Tidsets are the int bitsets of the database's memoized
+    :class:`~repro.core.columnar.PackedBitmap`: a join is ``a & b`` and
+    a support is ``bit_count()``.
 
     The optional ``budget`` is checked at every equivalence-class
     expansion and charged one candidate per tidset join; ``on_exhausted``
@@ -81,10 +63,6 @@ def eclat(
     >>> eclat(db, 0.5).supports[(1, 2)]
     2
     """
-    if backend not in TIDSET_BACKENDS:
-        raise ValidationError(
-            f"backend must be one of {TIDSET_BACKENDS}, got {backend!r}"
-        )
     ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
                           owner="eclat")
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "eclat")
@@ -97,35 +75,24 @@ def eclat(
 
     # Root equivalence class: frequent single items with their tidsets,
     # processed in item order so output matches the levelwise miners.
-    if backend == "bitset":
-        bitmap = transaction_bitmap(db)
-        supports = bitmap.item_supports()
-        root = [
-            ((item,), bitmap.tidset(item))
-            for item in range(bitmap.n_items)
-            if supports[item] >= min_count
-        ]
-    else:
-        vertical = db.vertical()
-        root = [
-            ((item,), tids)
-            for item, tids in sorted(vertical.items())
-            if len(tids) >= min_count
-        ]
+    bitmap = transaction_bitmap(db)
+    item_supports = bitmap.item_supports()
+    root = [
+        ((item,), bitmap.tidset(item))
+        for item in range(bitmap.n_items)
+        if item_supports[item] >= min_count
+    ]
 
     budget = ctx.budget
     resumed = ctx.resume(
         lambda: checkpoint_key("eclat", db, min_support, max_size=max_size)
     )
-    ops = _TIDSET_OPS[backend]
     if resumed is not None:
         frequent: Dict[Itemset, int] = resumed["frequent"]
         start = resumed["next_root"]
     else:
-        frequent = {}
-        size = ops[1]
-        for itemset, tids in root:
-            frequent[itemset] = int(size(tids))
+        frequent = {itemset: item_supports[itemset[0]]
+                    for itemset, _ in root}
         start = 0
         ctx.mark(lambda: {"next_root": 0, "frequent": dict(frequent)})
 
@@ -135,7 +102,7 @@ def eclat(
             itemset, tids = root[i]
             _expand_member(
                 root, i, itemset, tids, min_count, max_size, frequent,
-                budget, ops,
+                budget,
             )
             ctx.mark(lambda: {"next_root": i + 1, "frequent": dict(frequent)})
     except BudgetExceeded as exc:
@@ -154,46 +121,38 @@ def eclat(
 
 
 def _expand_member(
-    members: List[Tuple[Itemset, object]],
+    members: List[Tuple[Itemset, int]],
     i: int,
     itemset: Itemset,
-    tids: object,
+    tids: int,
     min_count: int,
     max_size: Optional[int],
     out: Dict[Itemset, int],
     budget: Optional[Budget],
-    ops: Tuple[Callable, Callable] = _TIDSET_OPS["tidset"],
 ) -> None:
-    """Expand member ``i`` of an equivalence class against later members.
-
-    ``ops`` is the backend's ``(join, size)`` kernel pair; the joins and
-    their order are backend-independent, so budget charges and emitted
-    supports match exactly across backends.
-    """
-    join, size = ops
+    """Expand member ``i`` of an equivalence class against later members."""
     if max_size is not None and len(itemset) >= max_size:
         return
-    child: List[Tuple[Itemset, object]] = []
+    child: List[Tuple[Itemset, int]] = []
     for other_itemset, other_tids in members[i + 1:]:
         if budget is not None:
             budget.charge_candidates(phase="eclat-join")
-        joined_tids = join(tids, other_tids)
-        support = int(size(joined_tids))
+        joined_tids = tids & other_tids
+        support = joined_tids.bit_count()
         if support >= min_count:
             joined = itemset + (other_itemset[-1],)
             out[joined] = support
             child.append((joined, joined_tids))
     if child:
-        _mine_class(child, min_count, max_size, out, budget, ops)
+        _mine_class(child, min_count, max_size, out, budget)
 
 
 def _mine_class(
-    members: List[Tuple[Itemset, object]],
+    members: List[Tuple[Itemset, int]],
     min_count: int,
     max_size: Optional[int],
     out: Dict[Itemset, int],
     budget: Optional[Budget] = None,
-    ops: Tuple[Callable, Callable] = _TIDSET_OPS["tidset"],
 ) -> None:
     """Depth-first expansion of one prefix equivalence class.
 
@@ -204,8 +163,8 @@ def _mine_class(
         budget.check(phase="eclat-class")
     for i, (itemset, tids) in enumerate(members):
         _expand_member(
-            members, i, itemset, tids, min_count, max_size, out, budget, ops
+            members, i, itemset, tids, min_count, max_size, out, budget
         )
 
 
-__all__ = ["eclat", "TIDSET_BACKENDS"]
+__all__ = ["eclat"]

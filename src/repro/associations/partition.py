@@ -22,7 +22,7 @@ import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.base import check_in_range, check_nonempty
-from ..core.columnar import popcount, transaction_bitmap, window_mask
+from ..core.columnar import transaction_bitmap
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
@@ -36,7 +36,6 @@ from ..runtime.context import (
 from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
 from ..runtime.transport import SharedRegion, get_object
 from .apriori import checkpoint_key, min_count_from_support
-from .eclat import TIDSET_BACKENDS
 
 
 def partition_miner(
@@ -49,7 +48,6 @@ def partition_miner(
     checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
     n_jobs: Optional[int] = None,
-    backend: str = "tidset",
 ) -> FrequentItemsets:
     """Mine frequent itemsets with the two-scan Partition algorithm.
 
@@ -80,15 +78,15 @@ def partition_miner(
         scan 1 mines them in forked workers and scan 2 splits the global
         counting scan the same way, merging in partition/shard order so
         the result is byte-identical to ``n_jobs=1``.  ``-1`` uses all
-        cores.
-    backend:
-        ``"tidset"`` (the default) mines scan 1 over per-partition
-        frozenset tidlists and counts scan 2 with Python subset tests;
-        ``"bitset"`` runs both scans over the database's memoized
-        packed bit matrix (:mod:`repro.core.columnar`) — scan 1 joins
-        are AND+popcount over window-masked item rows, scan 2 is the
-        windowed bitmap counting kernel.  Output is byte-identical;
-        workers inherit the one shared encoding copy-on-write.
+        cores.  Both scans go through the pool's probe gate: the first
+        task runs inline and, when it finishes under the pool's
+        small-task threshold, so do the rest.
+
+    Both scans run over the database's memoized
+    :class:`~repro.core.columnar.PackedBitmap` (one int bitset per
+    item): scan 1 joins windowed item rows with ``&`` and
+    ``bit_count()``, scan 2 is the bitmap counting kernel.  Workers
+    inherit the one shared encoding copy-on-write.
 
     Examples
     --------
@@ -96,10 +94,6 @@ def partition_miner(
     >>> partition_miner(db, 0.5, n_partitions=2).supports[(0, 1)]
     2
     """
-    if backend not in TIDSET_BACKENDS:
-        raise ValidationError(
-            f"backend must be one of {TIDSET_BACKENDS}, got {backend!r}"
-        )
     check_in_range("n_partitions", n_partitions, 1, None)
     ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
                           owner="partition_miner")
@@ -131,11 +125,11 @@ def partition_miner(
     # One shared region spans both scans: the database segment placed
     # for scan 1's partition mining is the same one scan 2's counting
     # shards resolve.
-    if backend == "bitset":
-        # Build the memoized encoding in the parent *before* any worker
-        # forks: workers resolving the same database object inherit the
-        # cached packed matrix copy-on-write instead of re-encoding.
-        transaction_bitmap(db)
+    # Build the memoized encoding in the parent *before* any worker
+    # forks: workers resolving the same database object inherit the
+    # cached rows copy-on-write instead of re-encoding, and the probe
+    # gate times mining, not encoding.
+    transaction_bitmap(db)
     region = SharedRegion() if n_jobs > 1 and n > 1 else None
     db_handle = region.put_object(db) if region is not None else None
     try:
@@ -148,12 +142,12 @@ def partition_miner(
             tasks = [
                 (db_handle, bounds[p][0], bounds[p][1],
                  max(1, math.ceil(min_support * (bounds[p][1] - bounds[p][0]))),
-                 max_size, backend)
+                 max_size)
                 for p in remaining
             ]
             locals_ = shared_pool(n_jobs).map(
                 _mine_partition_task, tasks, ctx=ctx,
-                phase="partition-scan-1",
+                phase="partition-scan-1", probe=True,
             )
             for p, local in zip(remaining, locals_):
                 ctx.step(f"partition-{p}", n_candidates=len(candidates))
@@ -171,7 +165,6 @@ def partition_miner(
                 )
                 candidates |= _mine_partition(
                     db, begin, stop, local_min_count, max_size, budget,
-                    backend,
                 )
                 ctx.mark(lambda: {
                     "next_partition": p + 1, "candidates": sorted(candidates),
@@ -182,13 +175,11 @@ def partition_miner(
         # --------------------------------------------------------------
         supports = _global_count(db, candidates, min_count, budget,
                                  ctx=ctx, n_jobs=n_jobs,
-                                 region=region, db_handle=db_handle,
-                                 backend=backend)
+                                 region=region, db_handle=db_handle)
     except BudgetExceeded as exc:
         if on_exhausted == "raise":
             raise
-        supports = _global_count(db, candidates, min_count, None,
-                                 backend=backend)
+        supports = _global_count(db, candidates, min_count, None)
         return FrequentItemsets(
             supports,
             n,
@@ -205,21 +196,20 @@ def partition_miner(
 
 def _mine_partition_task(args, shard_ctx):
     """Pool task: local mine of one partition, database via handle."""
-    db_handle, begin, stop, local_min_count, max_size, backend = args
+    db_handle, begin, stop, local_min_count, max_size = args
     budget = None if shard_ctx is None else shard_ctx.budget
     return _mine_partition(
         get_object(db_handle), begin, stop, local_min_count, max_size,
-        budget, backend,
+        budget,
     )
 
 
 def _count_range_task(args, shard_ctx):
     """Pool task: scan-2 counts over one row range, inputs via handles."""
-    db_handle, ordered_handle, begin, stop, backend = args
+    db_handle, ordered_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
-    return _count_range(
-        get_object(db_handle), get_object(ordered_handle), begin, stop,
-        budget, backend,
+    return transaction_bitmap(get_object(db_handle)).count(
+        get_object(ordered_handle), budget, begin, stop
     )
 
 
@@ -232,7 +222,6 @@ def _global_count(
     n_jobs: int = 1,
     region: Optional[SharedRegion] = None,
     db_handle=None,
-    backend: str = "tidset",
 ) -> Dict[Itemset, int]:
     # Sorting canonicalises the result's key order: the candidate union
     # is a set, and letting its iteration order leak into the supports
@@ -242,51 +231,23 @@ def _global_count(
         ordered_handle = region.put_object(ordered)
         try:
             tasks = [
-                (db_handle, ordered_handle, begin, stop, backend)
+                (db_handle, ordered_handle, begin, stop)
                 for begin, stop in shard_bounds(len(db), n_jobs)
             ]
             vectors = shared_pool(n_jobs).map(
-                _count_range_task, tasks, ctx=ctx, phase="partition-scan-2"
+                _count_range_task, tasks, ctx=ctx, phase="partition-scan-2",
+                probe=True,
             )
         finally:
             region.release(ordered_handle)
         totals = [sum(column) for column in zip(*vectors)]
     else:
-        totals = _count_range(db, ordered, 0, len(db), budget, backend)
+        totals = transaction_bitmap(db).count(ordered, budget)
     return {
         cand: cnt
         for cand, cnt in zip(ordered, totals)
         if cnt >= min_count
     }
-
-
-def _count_range(
-    db: TransactionDatabase,
-    ordered: List[Itemset],
-    begin: int,
-    stop: int,
-    budget: Optional[Budget],
-    backend: str = "tidset",
-) -> List[int]:
-    """Scan-2 counts of ``ordered`` over rows ``[begin, stop)``."""
-    if backend == "bitset":
-        return transaction_bitmap(db).count(ordered, budget, begin, stop)
-    counts: Dict[Itemset, int] = dict.fromkeys(ordered, 0)
-    by_size: Dict[int, List[Itemset]] = {}
-    for cand in ordered:
-        by_size.setdefault(len(cand), []).append(cand)
-    for i in range(begin, stop):
-        if budget is not None and i % 256 == 0:
-            budget.check(phase="partition-scan-2")
-        txn = db[i]
-        txn_set = set(txn)
-        for size, cands in by_size.items():
-            if size > len(txn):
-                continue
-            for cand in cands:
-                if txn_set.issuperset(cand):
-                    counts[cand] += 1
-    return list(counts.values())
 
 
 def _partition_bounds(n: int, k: int) -> List[Tuple[int, int]]:
@@ -308,41 +269,23 @@ def _mine_partition(
     min_count: int,
     max_size: Optional[int],
     budget: Optional[Budget] = None,
-    backend: str = "tidset",
 ) -> Set[Itemset]:
-    """Local frequent itemsets of db[start:stop] via tidlist DFS.
+    """Local frequent itemsets of db[start:stop] via tidset DFS.
 
-    Both backends run the same joins in the same order; ``bitset``
-    windows the database's packed item rows to the partition and joins
-    with AND+popcount instead of frozenset intersection.
+    Tidsets are the database's int item rows windowed to the partition.
     """
-    if backend == "bitset":
-        bitmap = transaction_bitmap(db)
-        mask = window_mask(bitmap.n_transactions, start, stop)
-        root = []
-        for item in range(bitmap.n_items):
-            tids = bitmap.tidset(item) & mask
-            if popcount(tids) >= min_count:
-                root.append(((item,), tids))
-        size = popcount
-    else:
-        tidlists: Dict[int, Set[int]] = {}
-        for tid in range(start, stop):
-            for item in db[tid]:
-                tidlists.setdefault(item, set()).add(tid)
-        root = [
-            ((item,), frozenset(tids))
-            for item, tids in sorted(tidlists.items())
-            if len(tids) >= min_count
-        ]
-        size = len
+    root = [
+        ((item,), tids)
+        for item, tids in enumerate(transaction_bitmap(db).window(start, stop))
+        if tids.bit_count() >= min_count
+    ]
     found: Set[Itemset] = {itemset for itemset, _ in root}
-    _expand(root, min_count, max_size, found, budget, size)
+    _expand(root, min_count, max_size, found, budget)
     return found
 
 
-def _expand(members, min_count, max_size, found: Set[Itemset], budget=None,
-            size=len) -> None:
+def _expand(members, min_count, max_size, found: Set[Itemset],
+            budget=None) -> None:
     if budget is not None:
         budget.check(phase="partition-class")
     for i, (itemset, tids) in enumerate(members):
@@ -353,12 +296,12 @@ def _expand(members, min_count, max_size, found: Set[Itemset], budget=None,
             if budget is not None:
                 budget.charge_candidates(phase="partition-join")
             joined = tids & other_tids
-            if size(joined) >= min_count:
+            if joined.bit_count() >= min_count:
                 new_itemset = itemset + (other_itemset[-1],)
                 found.add(new_itemset)
                 child.append((new_itemset, joined))
         if child:
-            _expand(child, min_count, max_size, found, budget, size)
+            _expand(child, min_count, max_size, found, budget)
 
 
 __all__ = ["partition_miner"]

@@ -268,19 +268,21 @@ def bench_encodings(rows: int, n_sequences: int, table_rows: int) -> List[Dict]:
 
 
 def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
-    """Per-kernel suite: scalar twin vs. the columnar backend.
+    """Per-kernel suite: baseline path vs. the columnar kernel.
 
-    Every entry reuses the ``_entry`` shape with the scalar path in the
-    ``serial`` slot and the vectorized backend in the ``parallel`` slot,
+    Every entry reuses the ``_entry`` shape with the baseline in the
+    ``serial`` slot and the columnar kernel in the ``parallel`` slot,
     so ``speedup`` is the kernel gain and ``identical`` is the
-    byte-identity contract.  The ``*_jobs`` twins additionally shard the
-    vectorized backend across ``n_jobs`` forked workers (serial *and*
-    ``--jobs``, as the parallel suite does for the scalar paths).  The
-    first vectorized call pays the encode (reported separately under
+    byte-identity contract.  The baseline is the algorithm's scalar
+    twin where one exists; Eclat and Partition have a single int-bitset
+    tidset kernel, so theirs is ``fp_growth``, the fastest other correct
+    path to the same itemsets.  The ``*_jobs`` entries additionally
+    shard the kernel across ``n_jobs`` forked workers.  The first
+    columnar call pays the encode (reported separately under
     ``encodings``); with ``repeat > 1`` the best-of timing reflects the
     warm-cache kernel cost.
     """
-    from .associations import dhp, eclat, partition_miner
+    from .associations import dhp, eclat, fp_growth, partition_miner
     from .classification import SLIQ, KNN, NaiveBayes
     from .clustering import KMeans
     from .datasets import agrawal, gaussian_blobs, quest_basket, quest_sequences
@@ -296,23 +298,22 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
     params = {"rows": rows, "min_support": min_support}
     entries.append(_entry(
         "eclat_bitset", params, 1, repeat,
+        lambda: fp_growth(db, min_support),
         lambda: eclat(db, min_support),
-        lambda: eclat(db, min_support, backend="bitset"),
         _itemsets_fingerprint,
     ))
     part_params = dict(params, n_partitions=2)
     entries.append(_entry(
         "partition_bitset", part_params, 1, repeat,
+        lambda: fp_growth(db, min_support),
         lambda: partition_miner(db, min_support, n_partitions=2),
-        lambda: partition_miner(db, min_support, n_partitions=2,
-                                backend="bitset"),
         _itemsets_fingerprint,
     ))
     entries.append(_entry(
         "partition_bitset_jobs", part_params, n_jobs, repeat,
-        lambda: partition_miner(db, min_support, n_partitions=2),
+        lambda: fp_growth(db, min_support),
         lambda: partition_miner(db, min_support, n_partitions=2,
-                                backend="bitset", n_jobs=n_jobs),
+                                n_jobs=n_jobs),
         _itemsets_fingerprint,
     ))
     entries.append(_entry(
@@ -536,7 +537,7 @@ def render_report(payload: Dict) -> str:
                 f"{entry['nbytes']:>12,} bytes"
             )
         lines.append(
-            f"{'kernel':<22} {'scalar':>10} {'vectorized':>10} "
+            f"{'kernel':<22} {'baseline':>10} {'columnar':>10} "
             f"{'speedup':>8}  identical"
         )
         for entry in kernels["benchmarks"]:

@@ -136,7 +136,7 @@ def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend", default=None, metavar="NAME",
         help="vectorized hot-loop backend over the shared columnar data "
-             "plane (values are per-algorithm, e.g. bitset/bitmap/"
+             "plane (values are per-algorithm, e.g. bitmap/"
              "columnar/elkan); output is byte-identical to the scalar "
              "path; only vectorizable algorithms accept this flag",
     )

@@ -1,24 +1,20 @@
-"""Shared columnar data plane: packed bitmaps + presorted columns.
+"""Shared columnar data plane: bitmaps + presorted columns.
 
 The vertical/bitmap representation from the Eclat/VIPER lineage (see
 PAPERS.md) generalises far beyond apriori's counting pass: any hot loop
 whose inner question is "which transactions/sequences/rows satisfy X?"
-can be answered with a bitwise AND over packed bit rows plus a popcount,
+can be answered with a bitwise AND over bit rows plus a popcount,
 or with one presorted pass over a column.  This module is the single
 home for those encodings, with three views:
 
 ``PackedBitmap``
-    An item x transaction bit matrix packed along the transaction axis
-    (``np.packbits``), 8x smaller than the dense ``bool`` matrix the old
-    :class:`~repro.associations.bitmap.BitmapDatabase` built privately.
-    The support of an itemset is the popcount of the AND of its item
-    rows; contiguous ``begin``/``stop`` windows (the map-reduce shard
-    interface) are served through a packed window mask.
-
-``PackedBitmap.tidset`` rows double as **per-item tidlist bitsets**: the
-    Eclat/partition/dhp intersection kernels are
-    ``popcount(a & b)`` over the packed rows — see :func:`intersect` and
-    :func:`popcount`.
+    An item x transaction bit matrix held as one Python ``int`` per
+    item: bit ``t`` of row ``i`` is set iff transaction ``t`` contains
+    item ``i``.  A row is the item's tidlist as a bitset, a tidset join
+    is ``a & b`` and a support is ``int.bit_count()``.  This is the one
+    tidset kernel behind Eclat, both Partition scans, dhp's bitmap
+    backend and apriori's bitmap store.  Contiguous ``begin``/``stop``
+    windows (the map-reduce shard interface) are a shift and a mask.
 
 ``SequenceBitmap``
     An item x sequence *occurrence* matrix for GSP: bit ``s`` of item
@@ -40,75 +36,36 @@ the dataset's pickled state, so shipping a database into a
 :class:`~repro.runtime.transport.SharedRegion` segment does not drag
 the encoding along (workers re-derive or receive the encoding as its
 own segment, copy-on-write after fork).  Construction is a single pass;
-afterwards every consumer counts against the same arrays.
+afterwards every consumer counts against the same rows.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..runtime import Budget
+from .exceptions import ValidationError
 from .itemsets import Itemset
 
-try:  # numpy >= 2.0
-    _popcount_u8 = np.bitwise_count
-except AttributeError:  # pragma: no cover - numpy < 2 fallback
-    _POPCOUNT_TABLE = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-
-    def _popcount_u8(a):
-        return _POPCOUNT_TABLE[a]
-
 
 # ----------------------------------------------------------------------
-# Bitset kernels (shared by every packed view)
-# ----------------------------------------------------------------------
-
-def popcount(bits: np.ndarray) -> int:
-    """Number of set bits in a packed ``uint8`` bitset."""
-    return int(_popcount_u8(bits).sum(dtype=np.int64))
-
-
-def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AND of two packed bitsets (the tidset-join kernel)."""
-    return a & b
-
-
-def pack_indices(indices: Iterable[int], n: int) -> np.ndarray:
-    """Packed bitset over a universe of ``n`` bits with ``indices`` set."""
-    dense = np.zeros(n, dtype=bool)
-    idx = list(indices)
-    if idx:
-        dense[idx] = True
-    return np.packbits(dense)
-
-
-def unpack_indices(bits: np.ndarray, n: int) -> np.ndarray:
-    """Sorted indices of the set bits of a packed bitset (inverse of pack)."""
-    return np.flatnonzero(np.unpackbits(bits, count=n))
-
-
-def window_mask(n: int, begin: int, stop: int) -> np.ndarray:
-    """Packed mask selecting bit positions ``[begin, stop)`` of ``n``."""
-    dense = np.zeros(n, dtype=bool)
-    dense[begin:stop] = True
-    return np.packbits(dense)
-
-
-# ----------------------------------------------------------------------
-# Transaction view: packed item x transaction bit matrix
+# Transaction view: item x transaction bit matrix, one int per item
 # ----------------------------------------------------------------------
 
 class PackedBitmap:
-    """Packed item x transaction bit matrix with popcount counting.
+    """Item x transaction bit matrix with one Python ``int`` per item.
 
-    Row ``i`` is item ``i``'s tidlist as a packed bitset; the support of
-    an itemset is ``popcount(AND of its rows)``.  Tail bits past
-    ``n_transactions`` are always zero, so popcounts never need masking.
+    ``rows[i]`` is item ``i``'s tidlist as a bitset (bit ``t`` =
+    transaction ``t``); the support of an itemset is the ``bit_count``
+    of the AND of its rows.  Bits past ``n_transactions`` are never
+    set, so counts never need masking.  CPython's arbitrary-precision
+    AND and popcount run over 30-bit digits in C with no per-call
+    numpy dispatch, which is what makes the many small joins of a
+    depth-first tidset walk cheap.
 
     Examples
     --------
@@ -116,6 +73,8 @@ class PackedBitmap:
     >>> db = TransactionDatabase([(0, 1, 2), (0, 1), (0, 2), (1, 2)])
     >>> PackedBitmap(db).count([(0, 1), (0, 2), (1, 2)])
     [2, 2, 2]
+    >>> bin(PackedBitmap(db).tidset(0))
+    '0b111'
     """
 
     def __init__(self, db):
@@ -123,36 +82,45 @@ class PackedBitmap:
         for column, txn in enumerate(db):
             if txn:
                 dense[list(txn), column] = True
-        if dense.size:
-            self.packed = np.packbits(dense, axis=1)
-        else:
-            # np.packbits on a 0-row or 0-column matrix keeps shape sane
-            # only when done explicitly; build the empty packed shape.
-            self.packed = np.zeros(
-                (db.n_items, (len(db) + 7) // 8), dtype=np.uint8
-            )
+        packed = np.packbits(dense, axis=1, bitorder="little")
+        self.rows: List[int] = [
+            int.from_bytes(row.tobytes(), "little") for row in packed
+        ]
         self.n_items = db.n_items
         self.n_transactions = len(db)
-        self._item_counts: Optional[np.ndarray] = None
+        self._item_counts: Optional[List[int]] = None
 
-    # -- memory accounting -------------------------------------------------
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed matrix."""
-        return int(self.packed.nbytes)
+        """Bytes held by the row ints (object headers included)."""
+        return sum(sys.getsizeof(row) for row in self.rows)
 
     # -- per-item tidlist bitsets -----------------------------------------
-    def tidset(self, item: int) -> np.ndarray:
-        """Item ``item``'s tidlist as a packed bitset (a matrix row)."""
-        return self.packed[item]
+    def tidset(self, item: int) -> int:
+        """Item ``item``'s tidlist as an int bitset (bit t = transaction t)."""
+        return self.rows[item]
 
-    def item_supports(self) -> np.ndarray:
+    def item_supports(self) -> List[int]:
         """Support count of every item id (popcount per row), cached."""
         if self._item_counts is None:
-            self._item_counts = _popcount_u8(self.packed).sum(
-                axis=1, dtype=np.int64
-            )
+            self._item_counts = [row.bit_count() for row in self.rows]
         return self._item_counts
+
+    def window(self, begin: int, stop: int) -> List[int]:
+        """Every row restricted to transactions ``[begin, stop)``.
+
+        Bit ``t - begin`` of a windowed row is transaction ``t``; counts
+        over the windowed rows are the window's counts.
+        """
+        if not 0 <= begin <= stop <= self.n_transactions:
+            raise ValidationError(
+                f"window [{begin}, {stop}) must satisfy 0 <= begin <= stop "
+                f"<= n_transactions={self.n_transactions}"
+            )
+        if begin == 0 and stop == self.n_transactions:
+            return self.rows
+        mask = (1 << (stop - begin)) - 1
+        return [(row >> begin) & mask for row in self.rows]
 
     # -- counting ----------------------------------------------------------
     def count(
@@ -166,35 +134,29 @@ class PackedBitmap:
 
         ``begin``/``stop`` restrict counting to a contiguous transaction
         range — the shard interface of the map-reduce path; per-shard
-        vectors sum element-wise to the full-database counts.  ``budget``
-        is checked periodically so deadlines and cancellation fire
+        vectors sum element-wise to the full-database counts.  A window
+        outside ``0 <= begin <= stop <= n_transactions`` raises
+        :class:`~repro.core.exceptions.ValidationError`.  ``budget`` is
+        checked periodically so deadlines and cancellation fire
         mid-count.  The empty itemset is contained in every transaction,
         so its count is the window width; an empty ``candidates`` list
         returns ``[]``.
         """
         if stop is None:
             stop = self.n_transactions
-        windowed = begin != 0 or stop != self.n_transactions
-        mask = window_mask(self.n_transactions, begin, stop) if windowed \
-            else None
-        width = max(0, min(stop, self.n_transactions) - max(begin, 0))
+        rows = self.window(begin, stop)
+        width = stop - begin
         counts: List[int] = []
         for i, cand in enumerate(candidates):
             if budget is not None and i % 256 == 0:
                 budget.check(phase="bitmap-count")
-            cand = tuple(cand)
             if not cand:
                 counts.append(width)
                 continue
-            if len(cand) == 1:
-                acc = self.packed[cand[0]]
-            elif len(cand) == 2:
-                acc = self.packed[cand[0]] & self.packed[cand[1]]
-            else:
-                acc = np.bitwise_and.reduce(self.packed[list(cand)], axis=0)
-            if mask is not None:
-                acc = acc & mask
-            counts.append(popcount(acc))
+            acc = -1  # all bits set: the identity of &
+            for item in cand:
+                acc &= rows[item]
+            counts.append(acc.bit_count())
         return counts
 
     def frequent(
@@ -264,10 +226,7 @@ class SequenceBitmap:
             acc = self.packed[items[0]]
         else:
             acc = np.bitwise_and.reduce(self.packed[items], axis=0)
-        windowed = begin != 0 or stop != self.n_sequences
-        if windowed:
-            acc = acc & window_mask(self.n_sequences, begin, stop)
-        return unpack_indices(acc, self.n_sequences)
+        return np.flatnonzero(np.unpackbits(acc, count=stop)[begin:]) + begin
 
 
 # ----------------------------------------------------------------------
@@ -395,11 +354,6 @@ __all__ = [
     "SequenceBitmap",
     "PresortedColumns",
     "TableMatrix",
-    "popcount",
-    "intersect",
-    "pack_indices",
-    "unpack_indices",
-    "window_mask",
     "transaction_bitmap",
     "sequence_bitmap",
     "presorted_columns",

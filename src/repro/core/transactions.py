@@ -154,17 +154,6 @@ class TransactionDatabase:
             return 0.0
         return self.support_count(itemset) / len(self._transactions)
 
-    def vertical(self) -> Dict[int, frozenset]:
-        """Vertical layout: item id -> frozenset of transaction indices.
-
-        This is the representation Eclat-style miners intersect.
-        """
-        tidlists: Dict[int, set] = {}
-        for tid, txn in enumerate(self._transactions):
-            for item in txn:
-                tidlists.setdefault(item, set()).add(tid)
-        return {item: frozenset(tids) for item, tids in tidlists.items()}
-
     def decode(self, itemset: Itemset) -> Tuple[Hashable, ...]:
         """Translate an itemset of ids back to the original labels."""
         return tuple(self._item_labels[item] for item in itemset)

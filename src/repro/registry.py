@@ -52,7 +52,7 @@ class Capabilities:
         to serial execution (``--jobs`` in the CLI).
     vectorizable:
         Offers a vectorized hot-loop backend over the shared columnar
-        data plane (:mod:`repro.core.columnar`) — packed bitsets,
+        data plane (:mod:`repro.core.columnar`) — bitsets,
         presorted columns or cached dense matrices — selected with a
         ``backend`` parameter (``--backend`` in the CLI) and
         byte-identical to the scalar path.

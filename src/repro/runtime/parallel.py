@@ -404,8 +404,10 @@ class WorkerPool:
         and is timed; when it finishes under
         :data:`SMALL_TASK_SECONDS`, the remaining tasks run inline too
         — dispatch overhead would exceed the work.  Use it for
-        many-small-task regions (clustering restarts, CV folds), not
-        for counting passes whose per-shard cost is known to dominate.
+        many-small-task regions (clustering restarts, CV folds) and for
+        shards whose cost straddles the threshold (Partition's scans),
+        not for counting passes whose per-shard cost is known to
+        dominate.
 
         Results are returned in task order.  A shard that raises sees
         its exception re-raised here (after its budget usage is charged

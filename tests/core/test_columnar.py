@@ -5,6 +5,7 @@ import gc
 import numpy as np
 import pytest
 
+from repro.associations import brute_force, eclat, partition_miner
 from repro.core import SequenceDatabase, TransactionDatabase
 from repro.core.columnar import (
     PackedBitmap,
@@ -12,15 +13,12 @@ from repro.core.columnar import (
     SequenceBitmap,
     TableMatrix,
     clear_caches,
-    pack_indices,
-    popcount,
     presorted_columns,
     sequence_bitmap,
     table_matrix,
     transaction_bitmap,
-    unpack_indices,
-    window_mask,
 )
+from repro.core.exceptions import ValidationError
 from repro.datasets import play_tennis, quest_basket, weather_numeric
 
 
@@ -32,23 +30,16 @@ def _brute_count(db, cand, begin=0, stop=None):
 
 
 # ----------------------------------------------------------------------
-# Bitset kernels
-# ----------------------------------------------------------------------
-def test_pack_unpack_roundtrip():
-    for idx in ([], [0], [7], [8], [0, 3, 8, 12], list(range(13))):
-        bits = pack_indices(idx, 13)
-        assert unpack_indices(bits, 13).tolist() == sorted(idx)
-        assert popcount(bits) == len(idx)
-
-
-def test_window_mask_selects_exact_range():
-    mask = window_mask(20, 3, 11)
-    assert unpack_indices(mask, 20).tolist() == list(range(3, 11))
-
-
-# ----------------------------------------------------------------------
 # PackedBitmap
 # ----------------------------------------------------------------------
+def test_rows_are_int_tidsets():
+    db = TransactionDatabase([(0, 1), (1,), (0, 2), ()])
+    bitmap = PackedBitmap(db)
+    assert bitmap.rows == [0b0101, 0b0011, 0b0100]
+    assert [bitmap.tidset(i) for i in range(3)] == bitmap.rows
+    assert bitmap.nbytes > 0
+
+
 def test_counts_match_brute_force(medium_db):
     bitmap = PackedBitmap(medium_db)
     candidates = [(0,), (1, 2), (3, 4, 5), (0, 1, 2, 3)]
@@ -79,6 +70,74 @@ def test_all_empty_transactions_database():
     assert bitmap.count([]) == []
     assert bitmap.count([()]) == [3]
     assert bitmap.frequent([()], min_count=3) == {(): 3}
+
+
+@pytest.mark.parametrize("begin, stop", [
+    (-2, 3),   # a negative begin must not wrap around the end
+    (4, 2),
+    (0, 51),
+    (-1, -1),
+])
+def test_out_of_range_windows_rejected(medium_db, begin, stop):
+    small = TransactionDatabase([medium_db[t] for t in range(50)])
+    bitmap = PackedBitmap(small)
+    with pytest.raises(ValidationError, match="window"):
+        bitmap.count([(0,), ()], begin=begin, stop=stop)
+    with pytest.raises(ValidationError, match="window"):
+        bitmap.frequent([(0,)], 1, begin=begin, stop=stop)
+
+
+#: CPython stores ints in 30-bit digits; windows on either side of a
+#: digit boundary exercise the carry between digits in shift and mask.
+DIGIT_EDGES = [0, 1, 29, 30, 31, 59, 60, 61, 62, 90, 91]
+
+
+@pytest.mark.parametrize("n", [29, 30, 31, 60, 61, 62, 91])
+def test_windows_at_int_digit_edges(n):
+    rng = np.random.default_rng(n)
+    db = TransactionDatabase([
+        tuple(np.flatnonzero(rng.random(4) < 0.6).tolist())
+        for _ in range(n)
+    ])
+    bitmap = PackedBitmap(db)
+    candidates = [(), (0,), (1,), (0, 1), (1, 2, 3)]
+    edges = [e for e in DIGIT_EDGES if e <= n] + [n]
+    for begin in edges:
+        for stop in edges:
+            if begin > stop:
+                continue
+            assert bitmap.count(candidates, begin=begin, stop=stop) == [
+                _brute_count(db, c, begin, stop) for c in candidates
+            ], (begin, stop)
+            window = bitmap.window(begin, stop)
+            assert all(row >> (stop - begin) == 0 for row in window)
+
+
+@pytest.mark.parametrize("n", [1, 29, 30, 31, 60, 61])
+@pytest.mark.parametrize("n_partitions", [1, 2, 3])
+def test_vertical_miners_match_oracle_across_digit_edges(n, n_partitions):
+    rng = np.random.default_rng(1000 + n)
+    db = TransactionDatabase([
+        tuple(np.flatnonzero(rng.random(5) < 0.5).tolist())
+        for _ in range(n)
+    ])
+    oracle = brute_force(db, 0.2).supports
+    assert dict(eclat(db, 0.2).supports) == oracle
+    assert dict(
+        partition_miner(db, 0.2, n_partitions=n_partitions).supports
+    ) == oracle
+
+
+def test_vertical_miners_on_degenerate_databases():
+    empty = TransactionDatabase([(), (), ()])
+    assert eclat(empty, 0.5).supports == {}
+    assert partition_miner(empty, 0.5, n_partitions=2).supports == {}
+    one = TransactionDatabase([(2, 0, 5)])
+    oracle = brute_force(one, 1.0).supports
+    assert len(oracle) == 7
+    assert dict(eclat(one, 1.0).supports) == oracle
+    assert dict(partition_miner(one, 1.0, n_partitions=3).supports) == oracle
+    assert PackedBitmap(one).count([(0, 2, 5), (1,)]) == [1, 0]
 
 
 def test_item_supports_matches_per_item_counts(medium_db):

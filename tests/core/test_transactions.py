@@ -68,11 +68,6 @@ class TestQueries:
         assert counts[0] == 3
         assert counts[4] == 1
 
-    def test_vertical_layout(self, small_db):
-        vertical = small_db.vertical()
-        assert vertical[1] == frozenset({0, 1, 2, 3})
-        assert vertical[4] == frozenset({0})
-
     def test_avg_transaction_length(self, small_db):
         assert small_db.avg_transaction_length() == pytest.approx(12 / 5)
 

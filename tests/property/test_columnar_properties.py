@@ -4,9 +4,12 @@ Three contracts the shared columnar data plane promises:
 
 * every vectorized backend is **byte-identical** to its scalar twin —
   same supports, same model, same bytes — for any input, at any
-  ``n_jobs``;
+  ``n_jobs``; Eclat and Partition, whose only tidset kernel is the
+  int-bitset one, are pinned to the brute-force oracle and to apriori's
+  hash tree instead;
 * a budget exhausted mid-kernel degrades exactly like the scalar path
   (same truncation point, same partial result, same exception class);
+  a truncated Eclat/Partition result is an exact subset of the oracle;
 * memoized encodings are keyed on dataset identity and can never leak
   between two distinct dataset objects, even with equal content.
 """
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.associations import dhp, eclat, partition_miner
+from repro.associations import apriori, brute_force, dhp, eclat, partition_miner
 from repro.classification import KNN, SLIQ, NaiveBayes
 from repro.clustering import KMeans
 from repro.core import SequenceDatabase, TransactionDatabase
@@ -52,26 +55,33 @@ def _mine_fingerprint(result) -> bytes:
     )
 
 
+def _assert_exact_subset_of_oracle(result, oracle) -> None:
+    """Every itemset returned carries its exact global support."""
+    for itemset, count in result.supports.items():
+        assert oracle.supports[itemset] == count, itemset
+
+
 # ----------------------------------------------------------------------
-# Vectorized == scalar, for arbitrary inputs
+# Int-bitset tidset kernel == oracle == hash tree, for arbitrary inputs
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(transactions, supports)
 def test_eclat_bitset_identical_for_any_input(txns, min_support):
     db = TransactionDatabase(txns)
-    scalar = eclat(db, min_support)
-    vector = eclat(db, min_support, backend="bitset")
-    assert _mine_fingerprint(vector) == _mine_fingerprint(scalar)
+    expected = _mine_fingerprint(brute_force(db, min_support))
+    assert _mine_fingerprint(eclat(db, min_support)) == expected
+    assert _mine_fingerprint(apriori(db, min_support)) == expected
 
 
 @settings(max_examples=30, deadline=None)
-@given(transactions, supports)
-def test_partition_bitset_identical_for_any_input(txns, min_support):
+@given(transactions, supports, st.integers(1, 5))
+def test_partition_bitset_identical_for_any_input(txns, min_support,
+                                                  n_partitions):
     db = TransactionDatabase(txns)
-    scalar = partition_miner(db, min_support, n_partitions=2)
-    vector = partition_miner(db, min_support, n_partitions=2,
-                             backend="bitset")
-    assert _mine_fingerprint(vector) == _mine_fingerprint(scalar)
+    expected = _mine_fingerprint(brute_force(db, min_support))
+    result = partition_miner(db, min_support, n_partitions=n_partitions)
+    assert _mine_fingerprint(result) == expected
+    assert _mine_fingerprint(apriori(db, min_support)) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,19 +103,30 @@ def test_gsp_bitmap_identical_for_any_input(seqs, min_support):
 
 
 # ----------------------------------------------------------------------
-# Vectorized == scalar, across n_jobs
+# Vectorized == scalar (or oracle), across n_jobs
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def basket():
     return quest_basket(200, random_state=17)
 
 
+@pytest.fixture(scope="module")
+def basket_oracle(basket):
+    return brute_force(basket, 0.05)
+
+
 @pytest.mark.parametrize("n_jobs", JOBS)
-def test_partition_bitset_identical_across_jobs(basket, n_jobs):
-    scalar = partition_miner(basket, 0.05, n_partitions=4)
-    vector = partition_miner(basket, 0.05, n_partitions=4,
-                             backend="bitset", n_jobs=n_jobs)
-    assert _mine_fingerprint(vector) == _mine_fingerprint(scalar)
+def test_partition_bitset_identical_across_jobs(basket, basket_oracle,
+                                                n_jobs):
+    result = partition_miner(basket, 0.05, n_partitions=4, n_jobs=n_jobs)
+    expected = _mine_fingerprint(basket_oracle)
+    assert _mine_fingerprint(result) == expected
+    assert _mine_fingerprint(apriori(basket, 0.05, n_jobs=n_jobs)) == expected
+
+
+def test_eclat_matches_oracle_on_basket(basket, basket_oracle):
+    assert _mine_fingerprint(eclat(basket, 0.05)) == \
+        _mine_fingerprint(basket_oracle)
 
 
 @pytest.mark.parametrize("n_jobs", JOBS)
@@ -157,33 +178,54 @@ def test_nb_and_knn_columnar_identical_probas(seed):
 # Budget exhaustion mid-kernel degrades identically
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("limit", [5, 20, 80])
-def test_eclat_truncates_at_same_point(basket, limit):
-    def run(backend):
+def test_eclat_truncates_at_same_point(basket, basket_oracle, limit):
+    def run():
         ctx = ExecutionContext(budget=Budget(max_candidates=limit))
-        return eclat(basket, 0.05, ctx=ctx, on_exhausted="truncate",
-                     backend=backend)
+        return eclat(basket, 0.05, ctx=ctx, on_exhausted="truncate")
 
-    scalar, vector = run("tidset"), run("bitset")
-    assert scalar.truncated and vector.truncated
-    assert _mine_fingerprint(vector) == _mine_fingerprint(scalar)
+    first, second = run(), run()
+    assert first.truncated and second.truncated
+    assert _mine_fingerprint(first) == _mine_fingerprint(second)
+    assert first.supports
+    _assert_exact_subset_of_oracle(first, basket_oracle)
 
 
 @pytest.mark.parametrize("limit", [5, 40])
-def test_partition_truncates_at_same_point(basket, limit):
-    def run(backend):
+def test_partition_truncates_at_same_point(basket, basket_oracle, limit):
+    def run(n_jobs):
         ctx = ExecutionContext(budget=Budget(max_candidates=limit))
         return partition_miner(basket, 0.05, n_partitions=3, ctx=ctx,
-                               on_exhausted="truncate", backend=backend)
+                               on_exhausted="truncate", n_jobs=n_jobs)
 
-    assert _mine_fingerprint(run("bitset")) == \
-        _mine_fingerprint(run("tidset"))
+    serial = run(1)
+    assert serial.truncated
+    assert _mine_fingerprint(run(1)) == _mine_fingerprint(serial)
+    for n_jobs in JOBS:
+        _assert_exact_subset_of_oracle(run(n_jobs), basket_oracle)
 
 
-def test_eclat_raise_policy_raises_in_both_backends(basket):
-    for backend in ("tidset", "bitset"):
-        ctx = ExecutionContext(budget=Budget(max_candidates=5))
-        with pytest.raises(SpaceBudgetExceeded):
-            eclat(basket, 0.05, ctx=ctx, backend=backend)
+@pytest.mark.parametrize("n_jobs", JOBS)
+def test_partition_mid_scan_truncation_is_exact(basket, basket_oracle,
+                                                n_jobs):
+    probe = Budget(check_interval=1)
+    partition_miner(basket, 0.05, n_partitions=3,
+                    ctx=ExecutionContext(budget=probe))
+    ctx = ExecutionContext(
+        budget=Budget(max_candidates=probe.candidates_used // 2)
+    )
+    result = partition_miner(basket, 0.05, n_partitions=3, ctx=ctx,
+                             on_exhausted="truncate", n_jobs=n_jobs)
+    assert result.truncated
+    _assert_exact_subset_of_oracle(result, basket_oracle)
+    if n_jobs == 1:
+        # Serial scan 1 keeps the partitions it completed.
+        assert result.supports
+
+
+def test_eclat_raise_policy_raises(basket):
+    ctx = ExecutionContext(budget=Budget(max_candidates=5))
+    with pytest.raises(SpaceBudgetExceeded):
+        eclat(basket, 0.05, ctx=ctx)
 
 
 @pytest.mark.parametrize("limit", [10, 60])

@@ -188,8 +188,6 @@ CLI_SPECS = [
 
 #: vectorized backend name of every vectorizable algorithm
 VECTOR_BACKEND = {
-    "eclat": "bitset",
-    "partition": "bitset",
     "dhp": "bitmap",
     "gsp": "bitmap",
     "sliq": "columnar",

@@ -119,11 +119,11 @@ class TestBackendFlag:
     """``--backend`` selects a vectorized kernel, byte-identical output."""
 
     def test_mine_backend_output_identical(self, basket_file, capsys):
-        base = ["mine", str(basket_file), "--miner", "eclat",
+        base = ["mine", str(basket_file), "--miner", "dhp",
                 "--min-support", "0.05"]
         assert main(base) == 0
         scalar = capsys.readouterr().out
-        assert main(base + ["--backend", "bitset"]) == 0
+        assert main(base + ["--backend", "bitmap"]) == 0
         assert capsys.readouterr().out == scalar
 
     def test_classify_backend_output_identical(self, agrawal_file, capsys):
@@ -143,9 +143,11 @@ class TestBackendFlag:
 
     def test_backend_on_non_vectorizable_miner_is_usage_error(
             self, basket_file, capsys):
-        assert main(["mine", str(basket_file), "--miner", "fp_growth",
-                     "--backend", "bitset"]) == 2
-        assert "does not support --backend" in capsys.readouterr().err
+        # eclat and partition have a single tidset kernel and no flag.
+        for miner in ("fp_growth", "eclat", "partition"):
+            assert main(["mine", str(basket_file), "--miner", miner,
+                         "--backend", "bitset"]) == 2
+            assert "does not support --backend" in capsys.readouterr().err
 
     def test_backend_on_non_vectorizable_clusterer_is_usage_error(
             self, blobs_file, capsys):
@@ -154,7 +156,7 @@ class TestBackendFlag:
         assert "does not support --backend" in capsys.readouterr().err
 
     def test_unknown_backend_value_fails_cleanly(self, basket_file, capsys):
-        assert main(["mine", str(basket_file), "--miner", "eclat",
+        assert main(["mine", str(basket_file), "--miner", "dhp",
                      "--backend", "warp"]) == 2
         err = capsys.readouterr().err
         assert "backend" in err
@@ -187,7 +189,8 @@ class TestAlgorithms:
         assert caps["budget_resource"] == "candidates"
         assert isinstance(caps["degradation_policies"], list)
         assert caps["vectorizable"] is False
-        assert entries["eclat"]["capabilities"]["vectorizable"] is True
+        assert entries["eclat"]["capabilities"]["vectorizable"] is False
+        assert entries["dhp"]["capabilities"]["vectorizable"] is True
         assert entries["sliq"]["capabilities"]["vectorizable"] is True
 
     def test_choices_come_from_the_registry(self):
