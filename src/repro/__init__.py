@@ -32,19 +32,7 @@ runtime
 
 __version__ = "1.0.0"
 
-from . import (
-    associations,
-    classification,
-    clustering,
-    core,
-    datasets,
-    evaluation,
-    preprocessing,
-    regression,
-    runtime,
-    sequences,
-)
-from . import outliers
+import importlib
 
 __all__ = [
     "core",
@@ -60,3 +48,14 @@ __all__ = [
     "runtime",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first attribute access (PEP 562).
+
+    ``import repro`` stays cheap: a command that mines never loads the
+    classifiers, clusterers or the job server.
+    """
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

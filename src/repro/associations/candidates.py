@@ -12,9 +12,9 @@ k-itemsets in two steps:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
-from ..core.itemsets import Itemset, subsets_of_size
+from ..core.itemsets import Itemset
 
 
 def apriori_gen(
@@ -46,38 +46,35 @@ def apriori_gen(
     [(1, 3, 4)]
     """
     prev: List[Itemset] = sorted(frequent_prev)
-    prev_set: Set[Itemset] = set(prev)
     if not prev:
         return []
     k_minus_1 = len(prev[0])
+    prev_set: Set[Itemset] = set(prev)
+    phase = f"apriori-gen-{k_minus_1 + 1}"
     candidates: List[Itemset] = []
-    # Join step: group itemsets by their (k-2)-prefix; every ordered pair
-    # within a group with distinct last items joins into one candidate.
-    groups: Dict[Itemset, List[int]] = {}
-    for itemset in prev:
-        groups.setdefault(itemset[:-1], []).append(itemset[-1])
-    for prefix, lasts in groups.items():
-        lasts.sort()
-        for i, a in enumerate(lasts):
-            for b in lasts[i + 1:]:
-                candidate = prefix + (a, b)
-                # Prune step: all (k-1)-subsets must be frequent.  The two
-                # subsets used in the join are frequent by construction,
-                # so only check the others.
-                if k_minus_1 >= 2 and not _all_subsets_frequent(
-                    candidate, prev_set
-                ):
-                    continue
-                if budget is not None:
-                    budget.charge_candidates(phase=f"apriori-gen-{k_minus_1 + 1}")
-                candidates.append(candidate)
-    candidates.sort()
+    # Join step: itemsets sharing a (k-2)-prefix are adjacent in sorted
+    # order, so each one joins with the run of successors behind it.
+    # Candidates come out lexicographically sorted.
+    n = len(prev)
+    for i, first in enumerate(prev):
+        prefix = first[:-1]
+        j = i + 1
+        while j < n and prev[j][:-1] == prefix:
+            candidate = first + prev[j][-1:]
+            j += 1
+            # Prune step: all (k-1)-subsets must be frequent.  The two
+            # join parents drop one of the last two items and are
+            # frequent by construction, so only the k-2 subsets that
+            # drop a prefix item are checked.
+            if k_minus_1 > 1 and any(
+                candidate[:m] + candidate[m + 1:] not in prev_set
+                for m in range(k_minus_1 - 1)
+            ):
+                continue
+            if budget is not None:
+                budget.charge_candidates(phase=phase)
+            candidates.append(candidate)
     return candidates
-
-
-def _all_subsets_frequent(candidate: Itemset, prev_set: Set[Itemset]) -> bool:
-    size = len(candidate) - 1
-    return all(sub in prev_set for sub in subsets_of_size(candidate, size))
 
 
 __all__ = ["apriori_gen"]

@@ -61,7 +61,7 @@ def conviction(
 ) -> float:
     """P(X)P(¬Y) / P(X ∧ ¬Y); ``inf`` for a rule that never misses."""
     _check(support, antecedent_support, consequent_support)
-    conf = confidence(support, antecedent_support)
+    conf = 0.0 if antecedent_support == 0.0 else support / antecedent_support
     if conf >= 1.0:
         return math.inf
     return (1.0 - consequent_support) / (1.0 - conf)

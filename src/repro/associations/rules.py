@@ -9,16 +9,14 @@ least the same support), so whole branches are pruned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.base import check_in_range
+from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from .candidates import apriori_gen
-from .measures import confidence as _confidence
-from .measures import conviction as _conviction
-from .measures import leverage as _leverage
-from .measures import lift as _lift
 
 
 @dataclass(frozen=True)
@@ -63,13 +61,20 @@ def generate_rules(
     min_confidence:
         Threshold in [0, 1].
     max_consequent_size:
-        Optionally cap the consequent size (``None`` = unbounded).
+        Optionally cap the consequent size (``None`` = unbounded, else at
+        least 1).
 
     Returns
     -------
     list of AssociationRule
         Sorted by descending confidence, then descending support, then
         lexicographically — a deterministic, presentation-ready order.
+
+    Raises
+    ------
+    ValidationError
+        On a threshold out of range or a support count outside
+        ``[0, n_transactions]``.
 
     Examples
     --------
@@ -80,74 +85,67 @@ def generate_rules(
     >>> [str(r) for r in rules][0]
     '{0} -> {1}  (support=0.5000, confidence=0.6667, lift=0.889)'
     """
+    # Validate once here, so the measures below can skip the per-call
+    # range checks of repro.associations.measures while computing the
+    # same IEEE expressions.
     check_in_range("min_confidence", min_confidence, 0.0, 1.0)
-    rules: List[AssociationRule] = []
+    if max_consequent_size is not None and max_consequent_size < 1:
+        raise ValidationError(
+            f"max_consequent_size must be >= 1 or None, "
+            f"got {max_consequent_size}"
+        )
     n = itemsets.n_transactions
-    if n == 0:
-        return rules
-    for itemset in itemsets:
+    counts = itemsets.supports
+    if n == 0 or not counts:
+        return []
+    low, high = min(counts.values()), max(counts.values())
+    if low < 0 or high > n:
+        raise ValidationError(
+            f"support counts must lie in [0, {n}], got [{low}, {high}]"
+        )
+    support = {itemset: count / n for itemset, count in counts.items()}
+
+    # (-confidence, -support, antecedent, consequent) is unique per rule,
+    # so sorting the rows never compares the trailing supports.
+    rows = []
+    for itemset, support_z in support.items():
         if len(itemset) < 2:
             continue
-        rules.extend(
-            _rules_from_itemset(
-                itemset, itemsets, min_confidence, max_consequent_size
-            )
-        )
-    rules.sort(
-        key=lambda r: (-r.confidence, -r.support, r.antecedent, r.consequent)
-    )
+        top = len(itemset) - 1
+        if max_consequent_size is not None:
+            top = min(top, max_consequent_size)
+        # ap-genrules: grow consequents levelwise; a consequent whose rule
+        # fails min_confidence is dropped, which prunes all its supersets.
+        consequents = [(item,) for item in itemset]
+        level = 1
+        while consequents:
+            passed = []
+            for consequent in consequents:
+                antecedent = tuple([i for i in itemset if i not in consequent])
+                support_x = support[antecedent]
+                conf = support_z / support_x if support_x != 0.0 else 0.0
+                if conf >= min_confidence:
+                    passed.append(consequent)
+                    rows.append((-conf, -support_z, antecedent, consequent,
+                                 support_x))
+            level += 1
+            consequents = apriori_gen(passed) if level <= top else []
+    rows.sort()
+
+    rules = []
+    for neg_conf, neg_support, antecedent, consequent, support_x in rows:
+        support_z, conf = -neg_support, -neg_conf
+        support_y = support[consequent]
+        expected = support_x * support_y
+        if expected == 0.0:
+            lift = 0.0 if support_z == 0.0 else math.inf
+        else:
+            lift = support_z / expected
+        conviction = (math.inf if conf >= 1.0
+                      else (1.0 - support_y) / (1.0 - conf))
+        rules.append(AssociationRule(antecedent, consequent, support_z, conf,
+                                     lift, support_z - expected, conviction))
     return rules
-
-
-def _rules_from_itemset(
-    itemset: Itemset,
-    itemsets: FrequentItemsets,
-    min_confidence: float,
-    max_consequent_size: Optional[int],
-) -> Iterator[AssociationRule]:
-    """ap-genrules: levelwise consequent growth with confidence pruning."""
-    support_z = itemsets.support(itemset)
-    # Level 1: single-item consequents.
-    consequents: List[Itemset] = []
-    for item in itemset:
-        consequent = (item,)
-        rule = _make_rule(itemset, consequent, support_z, itemsets)
-        if rule.confidence >= min_confidence:
-            yield rule
-            consequents.append(consequent)
-    size = 2
-    while consequents and size < len(itemset):
-        if max_consequent_size is not None and size > max_consequent_size:
-            return
-        candidates = apriori_gen(consequents)
-        consequents = []
-        for consequent in candidates:
-            rule = _make_rule(itemset, consequent, support_z, itemsets)
-            if rule.confidence >= min_confidence:
-                yield rule
-                consequents.append(consequent)
-        size += 1
-
-
-def _make_rule(
-    itemset: Itemset,
-    consequent: Itemset,
-    support_z: float,
-    itemsets: FrequentItemsets,
-) -> AssociationRule:
-    consequent_set = set(consequent)
-    antecedent = tuple(i for i in itemset if i not in consequent_set)
-    support_x = itemsets.support(antecedent)
-    support_y = itemsets.support(consequent)
-    return AssociationRule(
-        antecedent=antecedent,
-        consequent=consequent,
-        support=support_z,
-        confidence=_confidence(support_z, support_x),
-        lift=_lift(support_z, support_x, support_y),
-        leverage=_leverage(support_z, support_x, support_y),
-        conviction=_conviction(support_z, support_x, support_y),
-    )
 
 
 def filter_rules(

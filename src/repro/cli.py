@@ -142,6 +142,30 @@ def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _RegistryChoices:
+    """argparse ``choices`` for one family, read from the registry lazily.
+
+    argparse consults ``choices`` only to check a value given on the
+    command line and to render ``%(choices)s`` in help, so building the
+    parser imports no algorithm package: the family loads on the first
+    check.  The options using it pass an explicit ``metavar``, because
+    ``add_argument`` iterates ``choices`` to format a missing one.
+    """
+
+    def __init__(self, family: str) -> None:
+        self.family = family
+
+    def __contains__(self, name: object) -> bool:
+        from . import registry
+
+        return name in registry.names(self.family)
+
+    def __iter__(self):
+        from . import registry
+
+        return iter(registry.names(self.family))
+
+
 def _usage_error(args, caps, algorithm: str) -> Optional[str]:
     """One-line actionable message for a bad flag combination, or None.
 
@@ -151,6 +175,8 @@ def _usage_error(args, caps, algorithm: str) -> Optional[str]:
     whose capabilities cannot honour them, and hard-limit flags without
     ``--supervise`` all fail fast here — before any data is loaded.
     """
+    if getattr(args, "top", 0) < 0:
+        return f"--top must be >= 0, got {args.top}"
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     if getattr(args, "resume", False) and checkpoint_dir is None:
         return "--resume requires --checkpoint-dir"
@@ -276,8 +302,6 @@ def _make_context(budget=None, checkpoint=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import registry
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Classic data mining techniques from scratch.",
@@ -289,12 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--min-support", type=float, default=0.05)
     mine.add_argument("--min-confidence", type=float, default=0.6)
     mine.add_argument(
-        "--miner",
-        choices=list(registry.names("associations")),
-        default="apriori",
+        "--miner", choices=_RegistryChoices("associations"),
+        default="apriori", metavar="NAME",
+        help="frequent-itemset miner, one of: %(choices)s "
+             "(default: %(default)s)",
     )
     mine.add_argument("--top", type=int, default=10,
-                      help="rules/itemsets to display")
+                      help="rules/itemsets to display (>= 0)")
     _add_budget_flags(mine)
     _add_checkpoint_flags(mine)
     _add_supervise_flags(mine)
@@ -305,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("path", help="typed CSV (name:num / name:cat)")
     classify.add_argument("--target", required=True)
     classify.add_argument(
-        "--classifier",
-        choices=list(registry.names("classification")),
-        default="c45",
+        "--classifier", choices=_RegistryChoices("classification"),
+        default="c45", metavar="NAME",
+        help="classifier, one of: %(choices)s (default: %(default)s)",
     )
     classify.add_argument("--test-fraction", type=float, default=0.3)
     classify.add_argument("--seed", type=int, default=0)
@@ -322,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser("cluster", help="cluster numeric columns")
     cluster.add_argument("path", help="typed CSV (numeric columns used)")
     cluster.add_argument(
-        "--algorithm",
-        choices=list(registry.names("clustering")),
-        default="kmeans",
+        "--algorithm", choices=_RegistryChoices("clustering"),
+        default="kmeans", metavar="NAME",
+        help="clusterer, one of: %(choices)s (default: %(default)s)",
     )
     cluster.add_argument("--k", type=int, default=3)
     cluster.add_argument("--eps", type=float, default=0.5)

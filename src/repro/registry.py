@@ -16,6 +16,7 @@ step).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
@@ -150,14 +151,21 @@ def register(spec: AlgorithmSpec) -> AlgorithmSpec:
     return spec
 
 
-def ensure_populated() -> None:
-    """Import every family package so its registrations run."""
-    from . import associations, classification, clustering, sequences  # noqa: F401
+def ensure_populated(family: Optional[str] = None) -> None:
+    """Import one family package, or every one when ``family`` is None,
+    so its registrations run.
+
+    Scoping the import to one family keeps a command from paying for
+    algorithm packages it never runs.
+    """
+    for package in FAMILIES:
+        if family is None or package == family:
+            importlib.import_module(f".{package}", __package__)
 
 
 def get(family: str, name: str) -> AlgorithmSpec:
     """Look up one algorithm; raises with the valid choices on a miss."""
-    ensure_populated()
+    ensure_populated(family)
     spec = _REGISTRY.get((family, name))
     if spec is None:
         raise ValidationError(
@@ -169,17 +177,22 @@ def get(family: str, name: str) -> AlgorithmSpec:
 
 def names(family: str) -> Tuple[str, ...]:
     """Registered algorithm names of one family, registration order."""
-    ensure_populated()
+    ensure_populated(family)
     return tuple(n for (f, n) in _REGISTRY if f == family)
 
 
 def specs(family: Optional[str] = None) -> Tuple[AlgorithmSpec, ...]:
-    """All registered specs, optionally filtered to one family."""
-    ensure_populated()
-    return tuple(
-        spec for (f, _n), spec in _REGISTRY.items()
-        if family is None or f == family
-    )
+    """All registered specs, optionally filtered to one family.
+
+    Families come in :data:`FAMILIES` order whichever was imported
+    first; within a family, in registration order.
+    """
+    ensure_populated(family)
+    return tuple(sorted(
+        (spec for (f, _n), spec in _REGISTRY.items()
+         if family is None or f == family),
+        key=lambda spec: FAMILIES.index(spec.family),
+    ))
 
 
 def capability_table(family: Optional[str] = None) -> list:

@@ -74,6 +74,11 @@ class TestGenerateRules:
         with pytest.raises(ValidationError):
             generate_rules(_mined(small_db), min_confidence=1.5)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_consequent_cap_below_one_is_rejected(self, small_db, cap):
+        with pytest.raises(ValidationError):
+            generate_rules(_mined(small_db), 0.0, max_consequent_size=cap)
+
     def test_empty_itemsets_give_no_rules(self):
         from repro.core import FrequentItemsets
         assert generate_rules(FrequentItemsets({}, 0, 0.5), 0.5) == []

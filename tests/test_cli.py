@@ -79,6 +79,12 @@ class TestMine:
         assert main(["mine", "/nonexistent/file.dat"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_top_is_usage_error(self, basket_file, capsys):
+        assert main(["mine", str(basket_file), "--top", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --top must be >= 0, got -1\n"
+
 
 class TestClassify:
     def test_c45_on_generated_table(self, agrawal_file, capsys):
