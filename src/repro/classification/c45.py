@@ -26,7 +26,13 @@ from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.table import Attribute, Table
 from ..runtime import Budget, BudgetExceeded
 from ..runtime.context import ExecutionContext
-from .criteria import entropy, gain_ratio, information_gain, split_information
+from .criteria import (
+    entropy,
+    entropy_rows,
+    first_best,
+    information_gain,
+    split_information,
+)
 from .pruning import pessimistic_prune
 from .tree_model import (
     CategoricalSplit,
@@ -290,37 +296,29 @@ class C45(Classifier):
         distinct_boundary = np.nonzero(np.diff(v) > 0)[0]
         if distinct_boundary.size == 0:
             return None
-        # Cumulative weighted class counts -> O(n) evaluation of every
-        # candidate threshold (midpoints between distinct values).
+        # Cumulative weighted class counts score every candidate threshold
+        # (midpoints between distinct values) in one batch, with the
+        # arithmetic of a per-boundary scan; the first best boundary wins.
         one_hot = np.zeros((len(y), self._n_classes))
         one_hot[np.arange(len(y)), y] = 1.0
-        weighted = one_hot * w[:, None]
-        prefix = np.cumsum(weighted, axis=0)
+        prefix = np.cumsum(one_hot * w[:, None], axis=0)
         total_counts = prefix[-1]
-        parent_entropy = entropy(total_counts)
         total_mass = total_counts.sum()
-
-        best_gain = -1.0
-        best_threshold = None
-        best_ratio = 0.0
-        for boundary in distinct_boundary:
-            left_counts = prefix[boundary]
-            right_counts = total_counts - left_counts
-            lm, rm = left_counts.sum(), right_counts.sum()
-            if lm <= 0 or rm <= 0:
-                continue
-            child_entropy = (
-                lm / total_mass * entropy(left_counts)
-                + rm / total_mass * entropy(right_counts)
-            )
-            gain = parent_entropy - child_entropy
-            if gain > best_gain:
-                best_gain = gain
-                best_threshold = safe_threshold(v[boundary], v[boundary + 1])
-                info = split_information([left_counts, right_counts])
-                best_ratio = gain / info if info > 0 else 0.0
-        if best_threshold is None:
+        left = prefix[distinct_boundary]
+        right = total_counts - left
+        lm, rm = left.sum(axis=1), right.sum(axis=1)
+        gains = entropy(total_counts) - (
+            lm / total_mass * entropy_rows(left)
+            + rm / total_mass * entropy_rows(right)
+        )
+        best = first_best(gains, (lm > 0) & (rm > 0))
+        if best is None:
             return None
+        boundary = distinct_boundary[best]
+        best_gain = gains[best]
+        info = split_information([left[best], right[best]])
+        best_ratio = best_gain / info if info > 0 else 0.0
+        best_threshold = safe_threshold(v[boundary], v[boundary + 1])
         return {
             "kind": "numeric",
             "attribute": name,

@@ -26,7 +26,7 @@ from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
 from ..runtime import Budget, BudgetExceeded
 from ..runtime.context import ExecutionContext
-from .criteria import entropy, gini
+from .criteria import entropy, entropy_rows, first_best, gini, gini_rows
 from .pruning import prune_to_alpha
 from .tree_model import (
     BinaryCategoricalSplit,
@@ -37,7 +37,8 @@ from .tree_model import (
     safe_threshold,
 )
 
-_CRITERIA = {"gini": gini, "entropy": entropy}
+#: criterion name -> (impurity of one count vector, impurity of each row)
+_CRITERIA = {"gini": (gini, gini_rows), "entropy": (entropy, entropy_rows)}
 
 
 class CART(Classifier):
@@ -115,7 +116,7 @@ class CART(Classifier):
         self._features = features
         self._y = y
         self._n_classes = len(target.values)
-        self._impurity = _CRITERIA[self.criterion]
+        self._impurity, self._impurity_rows = _CRITERIA[self.criterion]
         self.truncated_ = False
         self.truncation_reason_ = None
         indices = np.arange(features.n_rows)
@@ -203,27 +204,24 @@ class CART(Classifier):
         total = prefix[-1]
         n_known = len(y)
 
-        best_decrease = -1.0
-        best_boundary = None
-        for b in boundaries:
-            nl = b + 1
-            nr = n_known - nl
-            if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-                continue
-            left_counts = prefix[b]
-            right_counts = total - left_counts
-            child = (
-                nl / n_known * self._impurity(left_counts)
-                + nr / n_known * self._impurity(right_counts)
-            )
-            decrease = (n_known / len(indices)) * (
-                self._impurity(total) - child
-            )
-            if decrease > best_decrease:
-                best_decrease = decrease
-                best_boundary = b
-        if best_boundary is None:
+        # Every boundary in one batch, with the arithmetic of a
+        # per-boundary scan; the first best boundary wins.
+        nl = boundaries + 1
+        nr = n_known - nl
+        left = prefix[boundaries]
+        child = (
+            nl / n_known * self._impurity_rows(left)
+            + nr / n_known * self._impurity_rows(total - left)
+        )
+        decreases = (n_known / len(indices)) * (self._impurity(total) - child)
+        best = first_best(
+            decreases,
+            (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf),
+        )
+        if best is None:
             return None
+        best_decrease = decreases[best]
+        best_boundary = boundaries[best]
         # Partitioning is by boundary index, so growth cannot degenerate;
         # the safe threshold keeps *prediction* consistent with the
         # training partition when the midpoint rounds up to the higher

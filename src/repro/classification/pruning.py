@@ -71,58 +71,211 @@ def binomial_upper_limit(errors: float, n: float, confidence: float) -> float:
     Clopper-Pearson style bound: the largest p with
     ``P(X <= errors | n, p) >= confidence``; Quinlan's U_CF.  Fractional
     inputs (from weighted instances) are accepted.
+
+    >>> round(binomial_upper_limit(0.0, 6.0, 0.25), 4)  # 1 - 0.25 ** (1/6)
+    0.2063
     """
     if n <= 0:
         return 1.0
     if confidence >= 1.0:
         return errors / n
-    from scipy.special import betaincinv
-
-    if errors >= n:
+    if errors >= n or confidence <= 0.0:
         return 1.0
-    # Upper limit of the Clopper-Pearson interval at level `confidence`.
-    return float(betaincinv(errors + 1.0, max(n - errors, 1e-9), 1.0 - confidence))
+    # Upper limit of the Clopper-Pearson interval at level `confidence`:
+    # the p with P(X <= errors) = 1 - I_p(errors + 1, n - errors) = CF.
+    return _inverse_beta_upper_tail(
+        errors + 1.0, max(n - errors, 1e-9), confidence
+    )
 
 
-def _estimated_errors(node: TreeNode, confidence: float) -> float:
-    """Pessimistic error count of a subtree (sum over its leaves)."""
-    if isinstance(node, Leaf):
-        n = node.training_mass
-        return n * binomial_upper_limit(node.training_errors(), n, confidence)
-    return sum(_estimated_errors(c, confidence) for c in _children(node))
+#: Stirling-series coefficients B_2k / (2k (2k - 1)) of ln Gamma(z)'s
+#: remainder, highest order first (Horner in 1 / z**2).
+_STIRLING = (
+    -3617.0 / 122400.0,
+    1.0 / 156.0,
+    -691.0 / 360360.0,
+    1.0 / 1188.0,
+    -1.0 / 1680.0,
+    1.0 / 1260.0,
+    -1.0 / 360.0,
+    1.0 / 12.0,
+)
+
+
+def _stirling_remainder(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), for z >= 10."""
+    inv2 = 1.0 / (z * z)
+    acc = 0.0
+    for coefficient in _STIRLING:
+        acc = acc * inv2 + coefficient
+    return acc / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b), without cancelling two huge ``lgamma`` values.
+
+    For a large argument, ``lgamma(large) - lgamma(small + large)`` comes
+    from Stirling's series with ``log1p``, whose error scales with the
+    small argument rather than with ``lgamma(large)`` (about 1e6 at
+    n = 1e5, where one ulp is 1e-10).
+    """
+    small, large = min(a, b), max(a, b)
+    if large < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    total = small + large
+    return (
+        math.lgamma(small)
+        - (large - 0.5) * math.log1p(small / large)
+        - small * math.log(total)
+        + small
+        + _stirling_remainder(large)
+        - _stirling_remainder(total)
+    )
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method.
+
+    Converges fast for ``x < (a + 1) / (a + b + 2)``.
+    """
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10000):
+        # Even step, then odd step, of the fraction.
+        numerator = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 + numerator * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + numerator / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        numerator = (
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        )
+        d = 1.0 + numerator * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + numerator / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _beta_upper_tail(a: float, b: float, x: float, log_beta: float):
+    """(1 - I_x(a, b), the density x**(a-1) (1-x)**(b-1) / B(a, b)).
+
+    For 0 < x < 1.  Whichever tail is the smaller is summed directly, so
+    a tail near 0 keeps its relative precision.
+    """
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+    density = front / (x * (1.0 - x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return 1.0 - front * _beta_fraction(a, b, x) / a, density
+    # 1 - I_x(a, b) = I_{1-x}(b, a)
+    return front * _beta_fraction(b, a, 1.0 - x) / b, density
+
+
+def _inverse_beta_upper_tail(a: float, b: float, q: float) -> float:
+    """x with 1 - I_x(a, b) = q, for 0 < q < 1: Halley steps kept inside
+    a shrinking bracket, falling back to bisection when a step leaves it.
+
+    The starting point is Abramowitz & Stegun 26.5.22 (a, b >= 1) or the
+    leading power terms of either tail.
+    """
+    y = 1.0 - q
+    log_beta = _log_beta(a, b)
+    if a >= 1.0 and b >= 1.0:
+        tail = min(y, q)
+        t = math.sqrt(-2.0 * math.log(tail))
+        z = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
+        if y < 0.5:
+            z = -z
+        lam = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = z * math.sqrt(h + lam) / h - (
+            1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)
+        ) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+    else:
+        lower = math.exp(a * math.log(a / (a + b))) / a
+        upper = math.exp(b * math.log(b / (a + b))) / b
+        if y < lower / (lower + upper):
+            x = (a * (lower + upper) * y) ** (1.0 / a)
+        else:
+            x = 1.0 - min(1.0, b * (lower + upper) * q) ** (1.0 / b)
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # the bracket is two adjacent floats
+                return x
+        value, density = _beta_upper_tail(a, b, x, log_beta)
+        if value == q:
+            return x
+        if value > q:
+            lo = x
+        else:
+            hi = x
+        # Near the root, Halley's correction of the Newton step, from
+        # f''/f' = (a - 1)/x - (b - 1)/(1 - x); plain Newton further out.
+        u = (q - value) / density if density > 0.0 else math.inf
+        curvature = u * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))
+        new = x - (u / (1.0 - 0.5 * curvature) if abs(curvature) < 1.0 else u)
+        if abs(new - x) <= 1e-15 * x:
+            return new if lo <= new <= hi else x
+        x = new
+    return x
 
 
 def pessimistic_prune(node: TreeNode, confidence: float = 0.25) -> TreeNode:
     """C4.5 error-based pruning, applied bottom-up.
 
     A subtree collapses to a leaf when the leaf's pessimistic error
-    estimate does not exceed the subtree's.  (C4.5's further option of
-    replacing a node by its largest branch is not implemented; it rarely
-    changes the headline accuracy/size trade-off.)
+    estimate does not exceed the subtree's, the sum of its leaves'
+    estimates.  (C4.5's further option of replacing a node by its
+    largest branch is not implemented; it rarely changes the headline
+    accuracy/size trade-off.)
     """
     if isinstance(node, Leaf):
         return node
+    memo: Dict[Tuple[float, float], float] = {}
+
+    def leaf_estimate(leaf: TreeNode) -> float:
+        key = (leaf.training_errors(), leaf.training_mass)
+        if key not in memo:
+            errors, n = key
+            memo[key] = n * binomial_upper_limit(errors, n, confidence)
+        return memo[key]
+
+    return _pessimistic(node, leaf_estimate)[0]
+
+
+def _pessimistic(node: TreeNode, leaf_estimate) -> Tuple[TreeNode, float]:
+    """(pruned subtree, its estimate), each subtree estimated once.
+
+    Children's estimates are summed in child order, the order a walk
+    over the pruned subtree's leaves would add them in.
+    """
+    if isinstance(node, Leaf):
+        return node, leaf_estimate(node)
     if isinstance(node, CategoricalSplit):
-        pruned = _rebuild(
-            node,
-            {
-                code: pessimistic_prune(child, confidence)
-                for code, child in node.children.items()
-            },
-        )
+        results = {
+            code: _pessimistic(child, leaf_estimate)
+            for code, child in node.children.items()
+        }
+        pruned = _rebuild(node, {code: r[0] for code, r in results.items()})
+        results = results.values()
     else:
-        pruned = _rebuild(
-            node,
-            [pessimistic_prune(c, confidence) for c in _children(node)],
-        )
+        results = [_pessimistic(c, leaf_estimate) for c in _children(node)]
+        pruned = _rebuild(node, [r[0] for r in results])
+    subtree_estimate = sum(r[1] for r in results)
     as_leaf = Leaf(node.class_counts)
-    leaf_estimate = as_leaf.training_mass * binomial_upper_limit(
-        as_leaf.training_errors(), as_leaf.training_mass, confidence
-    )
-    subtree_estimate = _estimated_errors(pruned, confidence)
-    if leaf_estimate <= subtree_estimate + 1e-9:
-        return as_leaf
-    return pruned
+    estimate = leaf_estimate(as_leaf)
+    if estimate <= subtree_estimate + 1e-9:
+        return as_leaf, estimate
+    return pruned, subtree_estimate
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ import numpy as np
 
 from ..core.base import check_matrix
 from ..core.exceptions import ValidationError
-from ..clustering.distance import pairwise_distances
+
+#: Memory cap, in bytes, of one row block of the silhouette's distance
+#: matrix: the full n x n matrix is never built.
+_SILHOUETTE_BLOCK_BYTES = 4 << 20
 
 
 def _check_labels(a, b) -> Tuple[np.ndarray, np.ndarray]:
@@ -158,29 +161,40 @@ def silhouette(X, labels) -> float:
     >>> silhouette(X, np.array([0, 0, 1, 1])) > 0.9
     True
     """
+    # Imported here: loading repro.clustering loads every clusterer, and
+    # the classification commands import this module too.
+    from ..clustering.distance import pairwise_distances
+
     X = check_matrix(X)
     labels = np.asarray(labels)
     keep = labels >= 0
     X, labels = X[keep], labels[keep]
-    clusters = np.unique(labels)
+    clusters, counts = np.unique(labels, return_counts=True)
     if len(clusters) < 2:
         return 0.0
-    d = pairwise_distances(X)
-    scores = np.zeros(len(X))
-    for i in range(len(X)):
-        own = labels[i]
-        own_mask = labels == own
-        n_own = own_mask.sum()
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = d[i, own_mask].sum() / (n_own - 1)
-        b = min(
-            d[i, labels == other].mean()
-            for other in clusters
-            if other != own
-        )
-        scores[i] = (b - a) / max(a, b)
+    # Sorted by label, every cluster is one contiguous run of columns, so
+    # a block's per-cluster distance sums are one reduceat.
+    order = np.argsort(labels, kind="stable")
+    X = X[order]
+    own = np.repeat(np.arange(len(clusters)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    n = len(X)
+    block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * n))
+    sums = np.empty((n, len(clusters)))
+    for lo in range(0, n, block):
+        d = pairwise_distances(X[lo:lo + block], X)
+        sums[lo:lo + block] = np.add.reduceat(d, starts, axis=1)
+    rows = np.arange(n)
+    own_size = counts[own]
+    # Mean distance to the rest of the own cluster (the self-distance is
+    # ~0) and to the nearest other cluster; singletons score 0.
+    a = sums[rows, own] / np.maximum(own_size - 1, 1)
+    means = sums / counts
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    multi = own_size > 1
+    scores = np.zeros(n)
+    scores[order[multi]] = (b - a)[multi] / np.maximum(a, b)[multi]
     return float(scores.mean())
 
 

@@ -59,12 +59,44 @@ def test_mine_loads_no_other_family(basket_file):
                          "server"}
 
 
-def test_classify_loads_no_miners(tmp_path):
+@pytest.fixture
+def credit_file(tmp_path):
     path = tmp_path / "credit.csv"
     assert main(["generate", "agrawal", str(path), "--rows", "200"]) == 0
-    loaded = _loaded_packages("classify", str(path), "--target", "group")
+    return path
+
+
+def test_classify_loads_no_miners(credit_file):
+    """Nor a clusterer, nor scipy."""
+    proc = _python("-c", PROBE, "classify", str(credit_file), "--target",
+                   "group")
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])["modules"]
+    loaded = {name.split(".")[1] for name in modules
+              if name.startswith("repro.")}
     assert "classification" in loaded
-    assert not loaded & {"associations", "sequences"}
+    assert not loaded & {"associations", "clustering", "sequences"}
+    assert "scipy" not in modules
+
+
+# Runs ``repro.cli.main`` with scipy unimportable, as on a numpy-only
+# install.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_classify_c45_needs_no_scipy(credit_file):
+    argv = ["classify", str(credit_file), "--target", "group",
+            "--classifier", "c45"]
+    plain = _python("-m", "repro.cli", *argv)
+    bare = _python("-c", WITHOUT_SCIPY, *argv)
+    assert plain.returncode == 0, plain.stderr
+    assert bare.returncode == 0, bare.stderr
+    assert bare.stdout == plain.stdout
 
 
 def test_mine_help_lists_every_miner():
