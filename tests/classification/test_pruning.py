@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.classification import (
@@ -74,9 +74,12 @@ class TestBinomialUpperLimitOracles:
             assert binomial_upper_limit(0.0, n, confidence) == (
                 pytest.approx(exact, rel=1e-11, abs=0)), (n, confidence)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 1e5),
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e5)),
            st.sampled_from([0.05, 0.25, 0.45]))
+    @example(0.0, 0.999, 0.5, 0.25)  # b = n - errors < 1 below unit mass
+    @example(0.9, 0.9999, 3.0, 0.05)  # errors close to n
     def test_monotone_in_errors_and_n(self, u, v, n, confidence):
         # Up to the bound's own rounding: errors of 0 and 2e-16 are one
         # ulp apart in the exact limits too.
@@ -99,6 +102,26 @@ class TestBinomialUpperLimitOracles:
             errors = float(rng.choice([0.0, rng.integers(0, int(n) + 1),
                                        rng.random() * n,
                                        rng.random() * min(n, 10.0)]))
+            confidence = float(rng.choice([0.05, 0.25, 0.45,
+                                           rng.uniform(1e-3, 0.5)]))
+            assert binomial_upper_limit(errors, n, confidence) == (
+                pytest.approx(_scipy_upper_limit(errors, n, confidence),
+                              rel=1e-10, abs=0)), (errors, n, confidence)
+
+    def test_matches_scipy_below_unit_mass(self):
+        # C4.5's missing-value weights give leaves of mass below 1, and
+        # errors close to n give b = n - errors < 1: the inverse then
+        # starts from the tails' leading power terms and its density is
+        # unbounded near 1.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(2)
+        for _ in range(3000):
+            n = float(rng.choice([rng.uniform(1e-3, 1.0),
+                                  10.0 ** rng.uniform(0.0, 4.0)]))
+            errors = float(rng.choice([
+                0.0, rng.random() * n,
+                n * (1.0 - 10.0 ** -rng.uniform(1.0, 8.0)),
+                max(n - rng.random(), 0.0)]))
             confidence = float(rng.choice([0.05, 0.25, 0.45,
                                            rng.uniform(1e-3, 0.5)]))
             assert binomial_upper_limit(errors, n, confidence) == (

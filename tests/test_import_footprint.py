@@ -19,7 +19,8 @@ from repro.cli import main
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
-# Runs ``repro.cli.main`` on argv, then prints the repro modules loaded.
+# Runs ``repro.cli.main`` on argv, then prints its exit code and every
+# module loaded.
 PROBE = """
 import json, sys
 from repro.cli import main
@@ -35,12 +36,16 @@ def _python(*argv):
                           text=True, env=env)
 
 
-def _loaded_packages(*argv):
+def _loaded_modules(*argv):
     proc = _python("-c", PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0
-    return {name.split(".")[1] for name in report["modules"]
+    return report["modules"]
+
+
+def _packages(modules):
+    return {name.split(".")[1] for name in modules
             if name.startswith("repro.")}
 
 
@@ -52,8 +57,8 @@ def basket_file(tmp_path):
 
 
 def test_mine_loads_no_other_family(basket_file):
-    loaded = _loaded_packages("mine", str(basket_file), "--min-support",
-                              "0.4")
+    loaded = _packages(_loaded_modules("mine", str(basket_file),
+                                       "--min-support", "0.4"))
     assert "associations" in loaded
     assert not loaded & {"classification", "clustering", "sequences",
                          "server"}
@@ -68,12 +73,9 @@ def credit_file(tmp_path):
 
 def test_classify_loads_no_miners(credit_file):
     """Nor a clusterer, nor scipy."""
-    proc = _python("-c", PROBE, "classify", str(credit_file), "--target",
-                   "group")
-    assert proc.returncode == 0, proc.stderr
-    modules = json.loads(proc.stdout.splitlines()[-1])["modules"]
-    loaded = {name.split(".")[1] for name in modules
-              if name.startswith("repro.")}
+    modules = _loaded_modules("classify", str(credit_file), "--target",
+                              "group")
+    loaded = _packages(modules)
     assert "classification" in loaded
     assert not loaded & {"associations", "clustering", "sequences"}
     assert "scipy" not in modules
